@@ -216,7 +216,8 @@ func BenchmarkNetworkStep4BShortcuts(b *testing.B) {
 	benchNetworkCycles(b, rfnoc.StaticConfig(m, rfnoc.Width4B), rfnoc.Hotspot2)
 }
 
-// BenchmarkShortcutSelectionMaxCost times the O(B*V^3) heuristic.
+// BenchmarkShortcutSelectionMaxCost times the architecture-specific
+// max-cost heuristic (O(V^2) per pick after one APSP).
 func BenchmarkShortcutSelectionMaxCost(b *testing.B) {
 	m := topology.New10x10()
 	g := m.Graph()
@@ -228,8 +229,9 @@ func BenchmarkShortcutSelectionMaxCost(b *testing.B) {
 	}
 }
 
-// BenchmarkShortcutSelectionPermutation times the incremental
-// permutation-graph heuristic.
+// BenchmarkShortcutSelectionPermutation times the architecture-specific
+// permutation-graph heuristic (O(V^3) per pick). The adaptive designs run
+// its F*W variant; BenchmarkAdaptiveShortcuts times that path.
 func BenchmarkShortcutSelectionPermutation(b *testing.B) {
 	m := topology.New10x10()
 	g := m.Graph()
@@ -259,8 +261,23 @@ func BenchmarkShortcutSelectionRegion(b *testing.B) {
 	}
 }
 
+// BenchmarkAdaptiveShortcuts times the selection every adaptive design
+// point runs: region-based and permutation-graph selection under the F*W
+// objective of a Uniform profile, 50 RF-enabled routers, budget 16.
+func BenchmarkAdaptiveShortcuts(b *testing.B) {
+	m := topology.New10x10()
+	freq := traffic.FrequencyMatrix(traffic.NewProbabilistic(m, traffic.Uniform, 0, 1), m.N(), 20000)
+	rf := m.RFPlacement(50)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got := experiments.AdaptiveShortcuts(m, rf, freq, tech.ShortcutBudget); len(got) != tech.ShortcutBudget {
+			b.Fatalf("selected %d shortcuts, want %d", len(got), tech.ShortcutBudget)
+		}
+	}
+}
+
 // BenchmarkAPSP times all-pairs shortest paths on the mesh graph, the
-// inner loop of every selector.
+// start of every selector.
 func BenchmarkAPSP(b *testing.B) {
 	g := graph.Grid(10, 10)
 	for i := 0; i < b.N; i++ {

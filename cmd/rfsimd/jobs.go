@@ -27,7 +27,12 @@ package main
 //     are pinned while a producer is active, a stream is attached, or
 //     within the -results-keep window of the last touch; past that the
 //     registry forgets them and the janitor may collect the file. A
-//     later GET or keyed POST reloads the log from disk.
+//     later GET or keyed POST reloads the log from disk;
+//   - memory: once a disk-backed job is sealed and nothing is attached,
+//     its log is closed and its frames are dropped (release), so daemon
+//     memory does not grow with the number of finished jobs. The entry
+//     itself stays for the keep window; the next stream or producer
+//     reloads the frames from the sealed log.
 
 import (
 	"crypto/sha256"
@@ -93,7 +98,8 @@ const (
 
 // jobEntry is one job's in-memory state. lines is append-only and its
 // elements are immutable, so a stream may hold a snapshot slice and
-// write it outside the lock.
+// write it outside the lock; release drops lines only while no stream
+// is attached.
 type jobEntry struct {
 	id     string
 	header resultLogHeader
@@ -109,6 +115,9 @@ type jobEntry struct {
 	last    time.Time // last producer/reader activity, for the keep window
 	log     *resultLog
 	logErr  bool // an append failed; durability degraded to memory-only
+	// released: the sealed frames were dropped from memory (lines, seen
+	// and durable are empty); the log on disk holds them.
+	released bool
 }
 
 func (e *jobEntry) broadcast() {
@@ -135,7 +144,7 @@ type lineIndex struct {
 	Index int    `json:"index"`
 }
 
-// absorb replaces the entry's frame state with a parsed log. Callers
+// absorbLocked replaces the entry's frame state with a parsed log. Callers
 // hold e.mu. Safe even with attached readers: the parsed prefix is
 // byte-identical to what attach loaded (both stop at the first bad
 // frame), so snapshot cursors stay aligned.
@@ -150,6 +159,7 @@ func (e *jobEntry) absorbLocked(d resultLogData) {
 			e.seen[li.Index] = true
 		}
 	}
+	e.released = false
 }
 
 // jobRegistry owns every in-memory entry and the artifact-directory
@@ -274,7 +284,31 @@ func (r *jobRegistry) endProducer(e *jobEntry) {
 	e.active--
 	e.last = r.now()
 	e.cond.Broadcast()
+	r.releaseLocked(e)
 	e.mu.Unlock()
+}
+
+// releaseLocked drops a sealed job's frames from memory once nothing
+// is attached: it syncs and closes the log and keeps only the entry's
+// identity and lifecycle fields, which the conflict check, attach state
+// and janitor pin read. Memory-only entries (no -dir, or a degraded
+// log) keep their frames, since nothing else holds them. Callers hold
+// e.mu.
+func (r *jobRegistry) releaseLocked(e *jobEntry) {
+	if r.dir == "" || e.logErr || e.released || !e.done || e.active > 0 || e.readers > 0 {
+		return
+	}
+	if e.log != nil {
+		err := e.log.Sync()
+		e.log.Close()
+		e.log = nil
+		if err != nil {
+			e.logErr = true
+			return
+		}
+	}
+	e.lines, e.seen, e.durable = nil, nil, 0
+	e.released = true
 }
 
 // appendOutcome logs one successful point outcome, assigning its seq.
@@ -363,18 +397,29 @@ func (r *jobRegistry) syncEntry(e *jobEntry) {
 	e.cond.Broadcast()
 }
 
-// addReader / dropReader bracket one attached stream.
-func (r *jobRegistry) addReader(e *jobEntry) {
+// addReader / dropReader bracket one attached stream. addReader
+// reloads a released entry's frames from its log first; false means the
+// log is gone (collected since the release), so the job is unknown.
+func (r *jobRegistry) addReader(e *jobEntry) bool {
 	e.mu.Lock()
+	defer e.mu.Unlock()
+	if e.released {
+		d, err := loadResultLog(r.path(e.id))
+		if err != nil || d.header.Job != e.id {
+			return false
+		}
+		e.absorbLocked(d)
+	}
 	e.readers++
 	e.last = r.now()
-	e.mu.Unlock()
+	return true
 }
 
 func (r *jobRegistry) dropReader(e *jobEntry) {
 	e.mu.Lock()
 	e.readers--
 	e.last = r.now()
+	r.releaseLocked(e)
 	e.mu.Unlock()
 }
 

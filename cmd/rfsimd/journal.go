@@ -93,7 +93,7 @@ type journal struct {
 	f         *os.File
 	seq       int64                   // highest sequence number ever issued
 	open      map[int64]openJournaled // accepted, not yet done
-	settled   int                       // records a compaction could fold away
+	settled   int                     // records a compaction could fold away
 	compactAt int
 	stats     journalStats
 }

@@ -516,11 +516,11 @@ func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	resp := struct {
-		Service obs.ServiceSnapshot           `json:"service"`
-		Cache   sweepcache.Stats              `json:"cache"`
-		Janitor *janitor.Stats                `json:"janitor,omitempty"`
-		Workers *experiments.WorkerPoolStats  `json:"workers,omitempty"`
-		Journal *journalStats                 `json:"journal,omitempty"`
+		Service obs.ServiceSnapshot          `json:"service"`
+		Cache   sweepcache.Stats             `json:"cache"`
+		Janitor *janitor.Stats               `json:"janitor,omitempty"`
+		Workers *experiments.WorkerPoolStats `json:"workers,omitempty"`
+		Journal *journalStats                `json:"journal,omitempty"`
 	}{Service: s.metrics.Snapshot(), Cache: s.cache.Stats()}
 	if s.jan != nil {
 		st := s.jan.Stats()
@@ -987,7 +987,10 @@ func (s *server) serveJobStream(ctx context.Context, w http.ResponseWriter, ent 
 	wake := context.AfterFunc(ctx, ent.broadcast)
 	defer wake()
 
-	s.jobs.addReader(ent)
+	if !s.jobs.addReader(ent) {
+		httpError(w, http.StatusNotFound, "unknown job (expired, collected, or never accepted)")
+		return
+	}
 	defer s.jobs.dropReader(ent)
 
 	w.Header().Set("Content-Type", "application/x-ndjson")

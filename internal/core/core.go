@@ -104,7 +104,17 @@ func (c *Controller) Budget() int {
 // ReconfigureForProfile runs the full reconfiguration flow against a
 // communication-frequency matrix and returns the new state.
 func (c *Controller) ReconfigureForProfile(freq [][]int64) (*State, error) {
-	edges := adaptiveSelect(c.mesh, c.rfEnabled, freq, c.Budget())
+	rf := map[int]bool{}
+	for _, id := range c.rfEnabled {
+		rf[id] = true
+	}
+	edges := shortcut.SelectAdaptive(c.mesh.Graph(), shortcut.Params{
+		Budget:   c.Budget(),
+		Eligible: func(id int) bool { return rf[id] && c.mesh.ShortcutEligible(id) },
+		Freq:     freq,
+		MeshW:    c.mesh.W,
+		MeshH:    c.mesh.H,
+	})
 	var mcRx []int
 	if c.Multicast {
 		taken := map[int]bool{}
@@ -162,46 +172,4 @@ func (c *Controller) ReconfigureForProfile(freq [][]int64) (*State, error) {
 func (c *Controller) ReconfigureForWorkload(profile traffic.Generator) (*State, error) {
 	freq := traffic.FrequencyMatrix(profile, c.mesh.N(), c.ProfileCycles)
 	return c.ReconfigureForProfile(freq)
-}
-
-// adaptiveSelect mirrors experiments.AdaptiveShortcuts without importing
-// it (experiments sits above core): both Figure 3 heuristics under the
-// F*W objective, keeping the better set.
-func adaptiveSelect(m *topology.Mesh, rfEnabled []int, freq [][]int64, budget int) []shortcut.Edge {
-	rf := map[int]bool{}
-	for _, id := range rfEnabled {
-		rf[id] = true
-	}
-	p := shortcut.Params{
-		Budget:   budget,
-		Eligible: func(id int) bool { return rf[id] && m.ShortcutEligible(id) },
-		Freq:     freq,
-		MeshW:    m.W,
-		MeshH:    m.H,
-	}
-	g := m.Graph()
-	region := shortcut.SelectRegionBased(g, p)
-	greedy := shortcut.SelectGreedyPermutation(g, p)
-	if weightedCost(m, region, freq) <= weightedCost(m, greedy, freq) {
-		return region
-	}
-	return greedy
-}
-
-func weightedCost(m *topology.Mesh, edges []shortcut.Edge, freq [][]int64) int64 {
-	g := shortcut.Apply(m.Graph(), edges)
-	apsp := g.AllPairs()
-	var total int64
-	for s, row := range freq {
-		if row == nil {
-			continue
-		}
-		for d, f := range row {
-			if f == 0 || s == d {
-				continue
-			}
-			total += f * int64(apsp[s][d])
-		}
-	}
-	return total
 }

@@ -76,7 +76,7 @@ func ScalingStudy(sizes []int, opts Options) []ScalingRow {
 
 // scaledAdaptiveShortcuts is AdaptiveShortcuts without the 10x10-only
 // placement helpers: the region-based selector already generalizes; the
-// permutation-graph alternative is skipped above 12x12 where its O(BV^4)
+// permutation-graph alternative is skipped above 12x12 where its O(BV^3)
 // cost bites.
 func scaledAdaptiveShortcuts(m *topology.Mesh, rfEnabled []int, freq [][]int64, budget int) []shortcut.Edge {
 	if m.N() <= 144 {

@@ -20,12 +20,12 @@ type WorkerEvent int
 
 // Worker-pool events, in rough lifecycle order.
 const (
-	WorkerSpawned        WorkerEvent = iota // a child process started
-	WorkerCrashed                           // a child died (or was killed) mid-job
-	WorkerKilledHeartbeat                   // SIGKILL: heartbeats stopped
-	WorkerKilledDeadline                    // SIGKILL: hard wall-clock deadline
-	WorkerOOM                               // child self-terminated at its memory limit
-	WorkerRestartBackoff                    // a respawn was delayed by crash backoff
+	WorkerSpawned         WorkerEvent = iota // a child process started
+	WorkerCrashed                            // a child died (or was killed) mid-job
+	WorkerKilledHeartbeat                    // SIGKILL: heartbeats stopped
+	WorkerKilledDeadline                     // SIGKILL: hard wall-clock deadline
+	WorkerOOM                                // child self-terminated at its memory limit
+	WorkerRestartBackoff                     // a respawn was delayed by crash backoff
 )
 
 // WorkerPoolConfig tunes a WorkerPool.
@@ -149,10 +149,10 @@ func NewWorkerPool(cfg WorkerPoolConfig) (*WorkerPool, error) {
 
 // worker is one child process.
 type worker struct {
-	cmd    *exec.Cmd
-	stdin  io.WriteCloser
-	frames chan wireFrame // closed when stdout breaks (child death)
-	stderr *tailBuffer
+	cmd     *exec.Cmd
+	stdin   io.WriteCloser
+	frames  chan wireFrame // closed when stdout breaks (child death)
+	stderr  *tailBuffer
 	waitErr chan error // buffered 1: cmd.Wait result, sent before frames closes
 }
 

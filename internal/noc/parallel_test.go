@@ -43,11 +43,11 @@ func (d *digestObserver) Retransmit(r, p, a int, now int64)      { d.note("retx 
 func (d *digestObserver) IntegrityRetransmit(s, t, a int, now int64) {
 	d.note("iretx %d %d %d %d", s, t, a, now)
 }
-func (d *digestObserver) PacketLost(m Message, now int64)         { d.note("lost %v %d", m, now) }
-func (d *digestObserver) WatchdogRecovery(st, a int, now int64)   { d.note("wd %d %d %d", st, a, now) }
-func (d *digestObserver) LinkFailed(r, p int, now int64)          { d.note("lf %d %d %d", r, p, now) }
-func (d *digestObserver) DegradedReroute(r, p int, now int64)     { d.note("rr %d %d %d", r, p, now) }
-func (d *digestObserver) DuplicateInjected(r int, now int64)      { d.note("dup %d %d", r, now) }
+func (d *digestObserver) PacketLost(m Message, now int64)       { d.note("lost %v %d", m, now) }
+func (d *digestObserver) WatchdogRecovery(st, a int, now int64) { d.note("wd %d %d %d", st, a, now) }
+func (d *digestObserver) LinkFailed(r, p int, now int64)        { d.note("lf %d %d %d", r, p, now) }
+func (d *digestObserver) DegradedReroute(r, p int, now int64)   { d.note("rr %d %d %d", r, p, now) }
+func (d *digestObserver) DuplicateInjected(r int, now int64)    { d.note("dup %d %d", r, now) }
 func (d *digestObserver) DuplicateDropped(r int, m Message, now int64) {
 	d.note("dd %d %v %d", r, m, now)
 }

@@ -2,15 +2,26 @@
 // algorithms (Section 3.2):
 //
 //   - the permutation-graph greedy heuristic of Figure 3(a), which tries
-//     every candidate edge against the full objective (O(B*V^4) with the
-//     incremental-distance trick, O(B*V^5) naively as the paper states);
+//     every candidate edge against the full objective;
 //   - the max-cost heuristic of Figure 3(b), which repeatedly adds the
-//     most expensive remaining pair (O(B*V^3));
+//     most expensive remaining pair;
 //   - application-specific variants of both, which weight the objective by
 //     inter-router communication frequency F(x,y) (Section 3.2.2);
 //   - the region-based selector that alternates pair placement with
 //     region-to-region placement over 3x3 sub-meshes, so that several
-//     shortcuts can serve one communication hotspot.
+//     shortcuts can serve one communication hotspot;
+//   - SelectAdaptive, which runs both application-specific heuristics and
+//     keeps the cheaper set.
+//
+// Every selector computes all-pairs shortest paths once and then keeps
+// the distance matrix exact in place, in O(V^2) per added edge, with
+//
+//	d'(x,y) = min( d(x,y), d(x,i) + 1 + d(j,y) )
+//
+// for a new weight-1 edge (i,j). A max-cost or region step is then
+// O(V^2), and a permutation-graph step is O(V^3) (see
+// SelectGreedyPermutation), against the paper's O(V^5) per step for
+// recomputing APSP for every candidate.
 //
 // All selectors respect the paper's port constraints: at most one inbound
 // and one outbound shortcut per router, and no shortcut may start or end
@@ -19,7 +30,9 @@
 package shortcut
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"repro/internal/graph"
 )
@@ -70,27 +83,62 @@ func (p Params) eligible(id int) bool {
 	return p.Eligible == nil || p.Eligible(id)
 }
 
-// used tracks the one-inbound/one-outbound port constraint.
-type used struct {
-	src, dst map[int]bool
+// selection is one selector run's state between picks: the current
+// distance matrix, endpoint eligibility (Params.Eligible evaluated once
+// per router) and the one-inbound/one-outbound port bookkeeping.
+type selection struct {
+	p        Params
+	d        [][]int
+	elig     []bool
+	src, dst []bool
+	out      []Edge
 }
 
-func newUsed() *used {
-	return &used{src: map[int]bool{}, dst: map[int]bool{}}
+func newSelection(g *graph.Digraph, p Params) *selection {
+	n := g.N()
+	s := &selection{p: p, d: g.AllPairs(), elig: make([]bool, n), src: make([]bool, n), dst: make([]bool, n)}
+	for v := range s.elig {
+		s.elig[v] = p.eligible(v)
+	}
+	return s
 }
 
-func (u *used) ok(p Params, i, j int) bool {
-	return i != j && !u.src[i] && !u.dst[j] && p.eligible(i) && p.eligible(j)
+// ok reports whether (i,j) satisfies the port and eligibility constraints.
+func (s *selection) ok(i, j int) bool {
+	return i != j && !s.src[i] && !s.dst[j] && s.elig[i] && s.elig[j]
 }
 
-func (u *used) take(e Edge) {
-	u.src[e.From] = true
-	u.dst[e.To] = true
+// take records a pick and updates the distance matrix for its edge.
+func (s *selection) take(e Edge) {
+	s.out = append(s.out, e)
+	s.src[e.From], s.dst[e.To] = true, true
+	addEdgeDistances(s.d, e)
+}
+
+// addEdgeDistances updates an all-pairs distance matrix in place for a
+// new weight-1 edge (i,j). A shortest path uses the new edge at most
+// once, and its parts before and after the edge are old shortest paths,
+// so the new distance is min(d(x,y), d(x,i)+1+d(j,y)). Row j and column
+// i do not change (their via term exceeds the direct one), so updating
+// in place reads only final values.
+func addEdgeDistances(d [][]int, e Edge) {
+	rowJ := d[e.To]
+	for _, row := range d {
+		a := row[e.From] + 1
+		if a >= graph.Infinity {
+			continue
+		}
+		for y, dy := range rowJ {
+			if via := a + dy; via < row[y] {
+				row[y] = via
+			}
+		}
+	}
 }
 
 // SelectMaxCost implements the Figure 3(b) heuristic on the
 // architecture-specific objective: repeatedly add a weight-1 edge between
-// the pair with the maximum current shortest-path cost, recomputing
+// the pair with the maximum current shortest-path cost, updating
 // distances after every addition, until the budget is exhausted. If
 // p.Freq is non-nil the cost of a pair is F(x,y)*W(x,y) instead of W(x,y)
 // (the Section 3.2.2 application-specific objective).
@@ -98,51 +146,34 @@ func (u *used) take(e Edge) {
 // The input graph is not modified; the augmented graph can be obtained
 // with Apply.
 func SelectMaxCost(g *graph.Digraph, p Params) []Edge {
-	work := g.Clone()
-	u := newUsed()
-	var out []Edge
-	for len(out) < p.Budget {
-		apsp := work.AllPairs()
-		best, ok := bestPair(apsp, p, u, nil)
+	s := newSelection(g, p)
+	for len(s.out) < p.Budget {
+		best, ok := s.bestPair()
 		if !ok {
 			break
 		}
-		out = append(out, best)
-		u.take(best)
-		work.AddEdge(best.From, best.To, 1)
+		s.take(best)
 	}
-	return out
+	return s.out
 }
 
 // bestPair scans all eligible unused pairs and returns the one with the
-// highest cost under p's objective. restrict, when non-nil, limits
-// candidates to pairs with restrict[i] and restrict[j] both true... it is
-// keyed (srcSet, dstSet).
-func bestPair(apsp [][]int, p Params, u *used, restrict *pairRestrict) (Edge, bool) {
+// highest cost under p's objective; ties go to the first in (i,j) order.
+func (s *selection) bestPair() (Edge, bool) {
 	var best Edge
 	var bestCost int64 = -1
-	n := len(apsp)
-	for i := 0; i < n; i++ {
-		if u.src[i] || !p.eligible(i) {
+	minDist := s.p.minDist()
+	for i, row := range s.d {
+		if s.src[i] || !s.elig[i] {
 			continue
 		}
-		if restrict != nil && !restrict.src[i] {
-			continue
-		}
-		for j := 0; j < n; j++ {
-			if !u.ok(p, i, j) {
-				continue
-			}
-			if restrict != nil && !restrict.dst[j] {
-				continue
-			}
-			w := apsp[i][j]
-			if w < p.minDist() || w >= graph.Infinity {
+		for j, w := range row {
+			if !s.ok(i, j) || w < minDist || w >= graph.Infinity {
 				continue
 			}
 			cost := int64(w)
-			if p.Freq != nil {
-				f := freqAt(p.Freq, i, j)
+			if s.p.Freq != nil {
+				f := freqAt(s.p.Freq, i, j)
 				if f == 0 {
 					continue
 				}
@@ -157,10 +188,6 @@ func bestPair(apsp [][]int, p Params, u *used, restrict *pairRestrict) (Edge, bo
 	return best, bestCost >= 0
 }
 
-type pairRestrict struct {
-	src, dst map[int]bool
-}
-
 func freqAt(freq [][]int64, i, j int) int64 {
 	if i >= len(freq) || freq[i] == nil || j >= len(freq[i]) {
 		return 0
@@ -172,102 +199,132 @@ func freqAt(freq [][]int64, i, j int) int64 {
 // candidate edge (i,j), evaluate the total objective of the permutation
 // graph G' = G + (i,j) and keep the candidate with the best improvement;
 // repeat until the budget is exhausted. The objective is the sum over all
-// pairs of W(x,y), or of F(x,y)*W(x,y) when p.Freq is non-nil.
+// pairs of W(x,y), or of F(x,y)*W(x,y) when p.Freq is non-nil. Ties go
+// to the first candidate in (i,j) order, and a step that improves
+// nothing ends the selection.
 //
-// Rather than recomputing APSP for every candidate (the paper's O(B*V^5)
-// bound), we use the standard incremental identity
+// A candidate is scored by its gain, the objective it removes:
 //
-//	d'(x,y) = min( d(x,y), d(x,i) + 1 + d(j,y) )
+//	gain(i,j) = sum over x,y of F(x,y) * max(0, c(x,y) - d(j,y)),
+//	c(x,y)    = d(x,y) - d(x,i) - 1
 //
-// which evaluates one candidate in O(V^2), for O(B*V^4) overall.
+// For a fixed source i, c does not depend on j, so the pairs (x,y) with
+// c > 0 fold into one table per destination y, G_y(t) = sum of
+// F(x,y)*max(0, c(x,y)-t), built from suffix sums over c. Each candidate
+// j then costs one lookup per y: gain(i,j) = sum over y of G_y(d(j,y)).
+// A step is O(V*(F + V*D + V^2)) = O(V^3) for F nonzero flows and
+// maximum distance D, so a selection is O(B*V^3); evaluating the
+// objective per candidate is O(B*V^4), and recomputing APSP per
+// candidate, as the paper states it, O(B*V^5).
 func SelectGreedyPermutation(g *graph.Digraph, p Params) []Edge {
-	work := g.Clone()
-	u := newUsed()
-	var out []Edge
-	for len(out) < p.Budget {
-		apsp := work.AllPairs()
-		base := objective(apsp, p)
+	return selectGreedy(g, p).out
+}
+
+func selectGreedy(g *graph.Digraph, p Params) *selection {
+	s := newSelection(g, p)
+	n := g.N()
+	// The objective is undefined when a weighted pair is unreachable.
+	if p.Freq != nil {
+		graph.WeightedCost(s.d, p.Freq)
+	} else {
+		graph.TotalCost(s.d)
+	}
+	flows := flowsOf(n, p.Freq)
+	// Distances only shrink, so c < maxD for good: G_y(t) is zero for
+	// t >= maxD, and the tables need indices 1..maxD.
+	maxD := 0
+	for _, row := range s.d {
+		for _, v := range row {
+			if v > maxD && v < graph.Infinity {
+				maxD = v
+			}
+		}
+	}
+	w := maxD + 1
+	sumF := make([]int64, n*w)  // sumF[y*w+t]: sum of F over c >= t
+	sumFC := make([]int64, n*w) // sumFC[y*w+t]: sum of F*c over c >= t
+	minDist := p.minDist()
+	for len(s.out) < p.Budget {
+		// Sort each source's flows by current distance, farthest first:
+		// once d(x,y) <= d(x,i)+1 no later y of row x can gain from i.
+		for x, fl := range flows {
+			row := s.d[x]
+			slices.SortFunc(fl, func(a, b flow) int { return row[b.y] - row[a.y] })
+		}
 		var best Edge
-		bestTotal := base // only accept strict improvements
-		found := false
-		n := work.N()
+		var bestGain int64 // only strict improvements are accepted
 		for i := 0; i < n; i++ {
-			if u.src[i] || !p.eligible(i) {
+			if s.src[i] || !s.elig[i] {
 				continue
+			}
+			clear(sumF)
+			clear(sumFC)
+			for x, fl := range flows {
+				a := s.d[x][i] + 1
+				row := s.d[x]
+				for _, f := range fl {
+					c := row[f.y] - a
+					if c <= 0 {
+						break
+					}
+					sumF[f.y*w+c] += f.f
+					sumFC[f.y*w+c] += f.f * int64(c)
+				}
+			}
+			for y := 0; y < n; y++ {
+				for k := y*w + maxD - 1; k > y*w; k-- {
+					sumF[k] += sumF[k+1]
+					sumFC[k] += sumFC[k+1]
+				}
 			}
 			for j := 0; j < n; j++ {
-				if !u.ok(p, i, j) || apsp[i][j] < p.minDist() {
+				if !s.ok(i, j) || s.d[i][j] < minDist {
 					continue
 				}
-				t := objectiveWith(apsp, p, i, j)
-				if t < bestTotal {
-					bestTotal = t
+				var gain int64
+				for y, t := range s.d[j] {
+					if t < maxD {
+						k := y*w + t + 1
+						gain += sumFC[k] - int64(t)*sumF[k]
+					}
+				}
+				if gain > bestGain {
+					bestGain = gain
 					best = Edge{From: i, To: j}
-					found = true
 				}
 			}
 		}
-		if !found {
+		if bestGain == 0 {
 			break
 		}
-		out = append(out, best)
-		u.take(best)
-		work.AddEdge(best.From, best.To, 1)
+		s.take(best)
+	}
+	return s
+}
+
+// flow is one weighted pair of the objective: destination y of a source
+// row and its weight F(x,y).
+type flow struct {
+	y int
+	f int64
+}
+
+// flowsOf lists each source's nonzero objective terms: F(x,y) for y != x,
+// or weight 1 for every y != x when freq is nil.
+func flowsOf(n int, freq [][]int64) [][]flow {
+	out := make([][]flow, n)
+	for x := range out {
+		for y := 0; y < n; y++ {
+			f := int64(1)
+			if freq != nil {
+				f = freqAt(freq, x, y)
+			}
+			if f != 0 && x != y {
+				out[x] = append(out[x], flow{y, f})
+			}
+		}
 	}
 	return out
-}
-
-// objective computes the current total cost.
-func objective(apsp [][]int, p Params) int64 {
-	if p.Freq != nil {
-		return graph.WeightedCost(apsp, p.Freq)
-	}
-	return graph.TotalCost(apsp)
-}
-
-// objectiveWith computes the total cost of the permutation graph with a
-// weight-1 edge (i,j) added, using the incremental distance identity.
-func objectiveWith(apsp [][]int, p Params, i, j int) int64 {
-	var total int64
-	n := len(apsp)
-	if p.Freq == nil {
-		for x := 0; x < n; x++ {
-			dxi := apsp[x][i]
-			rowX := apsp[x]
-			rowJ := apsp[j]
-			for y := 0; y < n; y++ {
-				if x == y {
-					continue
-				}
-				d := rowX[y]
-				if via := dxi + 1 + rowJ[y]; via < d {
-					d = via
-				}
-				total += int64(d)
-			}
-		}
-		return total
-	}
-	for x := 0; x < n && x < len(p.Freq); x++ {
-		row := p.Freq[x]
-		if row == nil {
-			continue
-		}
-		dxi := apsp[x][i]
-		rowX := apsp[x]
-		rowJ := apsp[j]
-		for y, f := range row {
-			if f == 0 || x == y {
-				continue
-			}
-			d := rowX[y]
-			if via := dxi + 1 + rowJ[y]; via < d {
-				d = via
-			}
-			total += f * int64(d)
-		}
-	}
-	return total
 }
 
 // Region is a 3x3 sub-mesh, identified by its lower-left corner.
@@ -309,28 +366,6 @@ func abs(x int) int {
 	return x
 }
 
-// regionCost computes C_Region(A,B) = sum over x in A, y in B of
-// F(x,y) * W(x,y). Traffic counts regardless of whether the routers'
-// shortcut ports are taken -- that is exactly the point of region-based
-// selection: a hotspot with an occupied port still attracts shortcuts to
-// its neighbors.
-func regionCost(apsp [][]int, p Params, a, b Region) int64 {
-	var total int64
-	for _, x := range a.ids {
-		for _, y := range b.ids {
-			if x == y {
-				continue
-			}
-			f := freqAt(p.Freq, x, y)
-			if f == 0 {
-				continue
-			}
-			total += f * int64(apsp[x][y])
-		}
-	}
-	return total
-}
-
 // SelectRegionBased implements the Section 3.2.2 application-specific
 // selector: it alternates between placing a pair shortcut (the max-F*W
 // pair, as in SelectMaxCost) and placing a region shortcut. A region step
@@ -342,6 +377,10 @@ func regionCost(apsp [][]int, p Params, a, b Region) int64 {
 //
 // p.Freq must be non-nil and p.MeshW/p.MeshH must be set.
 func SelectRegionBased(g *graph.Digraph, p Params) []Edge {
+	return selectRegion(g, p).out
+}
+
+func selectRegion(g *graph.Digraph, p Params) *selection {
 	if p.Freq == nil {
 		panic("shortcut: SelectRegionBased requires a frequency matrix")
 	}
@@ -349,40 +388,36 @@ func SelectRegionBased(g *graph.Digraph, p Params) []Edge {
 		panic("shortcut: SelectRegionBased requires mesh dimensions")
 	}
 	regs := regions(p.MeshW, p.MeshH)
-	work := g.Clone()
-	u := newUsed()
-	var out []Edge
-	for len(out) < p.Budget {
-		apsp := work.AllPairs()
+	s := newSelection(g, p)
+	for len(s.out) < p.Budget {
 		var e Edge
 		var ok bool
-		if len(out)%2 == 0 {
-			e, ok = bestPair(apsp, p, u, nil)
+		if len(s.out)%2 == 0 {
+			e, ok = s.bestPair()
 			if !ok {
-				e, ok = bestRegionEdge(apsp, p, u, regs)
+				e, ok = s.bestRegionEdge(regs)
 			}
 		} else {
-			e, ok = bestRegionEdge(apsp, p, u, regs)
+			e, ok = s.bestRegionEdge(regs)
 			if !ok {
 				// No region pair has remaining frequency; fall back to
 				// pair placement so the budget is not wasted.
-				e, ok = bestPair(apsp, p, u, nil)
+				e, ok = s.bestPair()
 			}
 		}
 		if !ok {
 			break
 		}
-		out = append(out, e)
-		u.take(e)
-		work.AddEdge(e.From, e.To, 1)
+		s.take(e)
 	}
-	return out
+	return s
 }
 
 // bestRegionEdge finds the max-C_Region non-overlapping region pair and
 // returns the best edge inside it. Region pairs with zero cost are
 // skipped; if the best region pair yields no eligible edge the next best
-// pair is tried.
+// pair is tried, in descending cost and, among equal costs, in (I,J)
+// enumeration order.
 //
 // Within the chosen region pair (I,J) the edge endpoints are picked by
 // traffic proximity: the source i in I (with a free outbound port)
@@ -390,32 +425,54 @@ func SelectRegionBased(g *graph.Digraph, p Params) []Edge {
 // port) closest to J's heavy receivers, weighted by message counts. This
 // is what lets a second or third shortcut serve a hotspot whose own
 // inbound port is already taken: the edge lands on an unused neighbor.
-func bestRegionEdge(apsp [][]int, p Params, u *used, regs []Region) (Edge, bool) {
+func (s *selection) bestRegionEdge(regs []Region) (Edge, bool) {
+	// C_Region(A,B) = sum over x in A, y in B of F(x,y) * W(x,y), summed
+	// per source router first: into[x*nr+b] is x's cost into region b.
+	// Traffic counts regardless of whether the routers' shortcut ports
+	// are taken -- that is exactly the point of region-based selection: a
+	// hotspot with an occupied port still attracts shortcuts to its
+	// neighbors.
+	nr := len(regs)
+	into := make([]int64, len(s.d)*nr)
+	for x, row := range s.d {
+		for bi, b := range regs {
+			var c int64
+			for _, y := range b.ids {
+				if f := freqAt(s.p.Freq, x, y); f != 0 && x != y {
+					c += f * int64(row[y])
+				}
+			}
+			into[x*nr+bi] = c
+		}
+	}
 	type scored struct {
-		a, b Region
+		a, b int
 		c    int64
 	}
 	var pairs []scored
-	for ai := range regs {
-		for bi := range regs {
-			if ai == bi || regs[ai].overlaps(regs[bi]) {
+	for ai, a := range regs {
+		for bi, b := range regs {
+			if ai == bi || a.overlaps(b) {
 				continue
 			}
-			c := regionCost(apsp, p, regs[ai], regs[bi])
+			var c int64
+			for _, x := range a.ids {
+				c += into[x*nr+bi]
+			}
 			if c > 0 {
-				pairs = append(pairs, scored{regs[ai], regs[bi], c})
+				pairs = append(pairs, scored{ai, bi, c})
 			}
 		}
 	}
-	// Sort descending by cost (insertion sort keeps this dependency-free
-	// and pairs lists are small: at most 64*63).
-	for i := 1; i < len(pairs); i++ {
-		for j := i; j > 0 && pairs[j].c > pairs[j-1].c; j-- {
-			pairs[j], pairs[j-1] = pairs[j-1], pairs[j]
+	// Descending cost; equal costs keep enumeration order.
+	slices.SortFunc(pairs, func(x, y scored) int {
+		if x.c != y.c {
+			return cmp.Compare(y.c, x.c)
 		}
-	}
+		return cmp.Compare(x.a*nr+x.b, y.a*nr+y.b)
+	})
 	for _, pr := range pairs {
-		if e, ok := regionPairEdge(apsp, p, u, pr.a, pr.b); ok {
+		if e, ok := s.regionPairEdge(regs[pr.a], regs[pr.b]); ok {
 			return e, true
 		}
 	}
@@ -426,48 +483,64 @@ func bestRegionEdge(apsp [][]int, p Params, u *used, regs []Region) (Edge, bool)
 // region step. Endpoint scores weight each flow (x in A) -> (y in B) by
 // 1/(1+dist(candidate, flow endpoint)), so candidates sitting on or next
 // to the traffic score highest.
-func regionPairEdge(apsp [][]int, p Params, u *used, a, b Region) (Edge, bool) {
+func (s *selection) regionPairEdge(a, b Region) (Edge, bool) {
+	d := s.d
 	bestSrc, bestDst := -1, -1
 	var bestSrcScore, bestDstScore float64 = -1, -1
 	for _, i := range a.ids {
-		if u.src[i] || !p.eligible(i) {
+		if s.src[i] || !s.elig[i] {
 			continue
 		}
-		var s float64
+		var sc float64
 		for _, x := range a.ids {
 			for _, y := range b.ids {
-				if f := freqAt(p.Freq, x, y); f != 0 && x != y {
-					s += float64(f) * float64(apsp[x][y]) / float64(1+apsp[i][x])
+				if f := freqAt(s.p.Freq, x, y); f != 0 && x != y {
+					sc += float64(f) * float64(d[x][y]) / float64(1+d[i][x])
 				}
 			}
 		}
-		if s > bestSrcScore {
-			bestSrcScore, bestSrc = s, i
+		if sc > bestSrcScore {
+			bestSrcScore, bestSrc = sc, i
 		}
 	}
 	for _, j := range b.ids {
-		if u.dst[j] || !p.eligible(j) {
+		if s.dst[j] || !s.elig[j] {
 			continue
 		}
-		var s float64
+		var sc float64
 		for _, x := range a.ids {
 			for _, y := range b.ids {
-				if f := freqAt(p.Freq, x, y); f != 0 && x != y {
-					s += float64(f) * float64(apsp[x][y]) / float64(1+apsp[j][y])
+				if f := freqAt(s.p.Freq, x, y); f != 0 && x != y {
+					sc += float64(f) * float64(d[x][y]) / float64(1+d[j][y])
 				}
 			}
 		}
-		if s > bestDstScore {
-			bestDstScore, bestDst = s, j
+		if sc > bestDstScore {
+			bestDstScore, bestDst = sc, j
 		}
 	}
 	if bestSrc < 0 || bestDst < 0 || bestSrc == bestDst {
 		return Edge{}, false
 	}
-	if apsp[bestSrc][bestDst] < p.minDist() {
+	if d[bestSrc][bestDst] < s.p.minDist() {
 		return Edge{}, false
 	}
 	return Edge{From: bestSrc, To: bestDst}, true
+}
+
+// SelectAdaptive is the adaptive design's selection (Section 3.2.2): it
+// runs both application-specific Figure 3 heuristics under p.Freq -- the
+// region-based selector and the permutation-graph greedy -- and keeps the
+// set with the lower F*W objective, the region-based set on a tie. (The
+// paper found its two heuristics comparable and kept the cheaper one.)
+// p must satisfy SelectRegionBased's requirements.
+func SelectAdaptive(g *graph.Digraph, p Params) []Edge {
+	region := selectRegion(g, p)
+	greedy := selectGreedy(g, p)
+	if graph.WeightedCost(region.d, p.Freq) <= graph.WeightedCost(greedy.d, p.Freq) {
+		return region.out
+	}
+	return greedy.out
 }
 
 // Apply returns a clone of g augmented with the selected shortcuts as

@@ -1,6 +1,9 @@
 package shortcut
 
 import (
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -330,6 +333,263 @@ func TestGreedyPermutationRespectsEligibility(t *testing.T) {
 	for _, e := range SelectGreedyPermutation(g, p) {
 		if e.From == banned || e.To == banned {
 			t.Fatalf("edge %v uses banned router", e)
+		}
+	}
+}
+
+// TestAddEdgeDistancesMatchesAPSP checks the in-place distance update
+// against a full recomputation after every edge, for random shortcut
+// sets (duplicates and mesh-parallel edges included) on several grids.
+func TestAddEdgeDistancesMatchesAPSP(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, dim := range [][2]int{{4, 4}, {5, 5}, {6, 6}, {10, 10}} {
+		g := graph.Grid(dim[0], dim[1])
+		n := g.N()
+		for trial := 0; trial < 5; trial++ {
+			d := g.AllPairs()
+			var edges []Edge
+			for k := 0; k < 12; k++ {
+				e := Edge{From: rng.Intn(n), To: rng.Intn(n)}
+				if e.From == e.To {
+					continue
+				}
+				edges = append(edges, e)
+				addEdgeDistances(d, e)
+				if want := Apply(g, edges).AllPairs(); !reflect.DeepEqual(d, want) {
+					t.Fatalf("%dx%d after %v: in-place distances differ from APSP", dim[0], dim[1], edges)
+				}
+			}
+		}
+	}
+}
+
+// TestSelectionDistancesMatchAPSP checks that each selector's final
+// distance matrix is the APSP of the augmented graph (SelectAdaptive
+// compares the two candidate sets on it).
+func TestSelectionDistancesMatchAPSP(t *testing.T) {
+	g, p, _ := meshParams(16)
+	rng := rand.New(rand.NewSource(1))
+	p.Freq = make([][]int64, g.N())
+	for x := range p.Freq {
+		p.Freq[x] = make([]int64, g.N())
+		for y := range p.Freq[x] {
+			p.Freq[x][y] = int64(rng.Intn(50))
+		}
+	}
+	for name, s := range map[string]*selection{"region": selectRegion(g, p), "greedy": selectGreedy(g, p)} {
+		if len(s.out) == 0 {
+			t.Fatalf("%s selected nothing", name)
+		}
+		if !reflect.DeepEqual(s.d, Apply(g, s.out).AllPairs()) {
+			t.Errorf("%s: final distances differ from APSP of the augmented graph", name)
+		}
+	}
+}
+
+// The naive references below restate each selector from its definition,
+// recomputing APSP of the augmented graph for every step (and, for the
+// permutation graph, for every candidate) and scanning region pairs in a
+// stable order. They are slow on purpose.
+
+func naiveBestPair(apsp [][]int, p Params, out []Edge) (Edge, bool) {
+	src, dst := map[int]bool{}, map[int]bool{}
+	for _, e := range out {
+		src[e.From], dst[e.To] = true, true
+	}
+	var best Edge
+	bestCost := int64(-1)
+	for i := range apsp {
+		for j := range apsp {
+			w := apsp[i][j]
+			if i == j || src[i] || dst[j] || !p.eligible(i) || !p.eligible(j) || w < p.minDist() || w >= graph.Infinity {
+				continue
+			}
+			cost := int64(w)
+			if p.Freq != nil {
+				cost = freqAt(p.Freq, i, j) * int64(w)
+				if cost == 0 {
+					continue
+				}
+			}
+			if cost > bestCost {
+				best, bestCost = Edge{i, j}, cost
+			}
+		}
+	}
+	return best, bestCost >= 0
+}
+
+func naiveMaxCost(g *graph.Digraph, p Params) []Edge {
+	var out []Edge
+	for len(out) < p.Budget {
+		e, ok := naiveBestPair(Apply(g, out).AllPairs(), p, out)
+		if !ok {
+			break
+		}
+		out = append(out, e)
+	}
+	return out
+}
+
+func naiveObjective(apsp [][]int, p Params) int64 {
+	if p.Freq != nil {
+		return graph.WeightedCost(apsp, p.Freq)
+	}
+	return graph.TotalCost(apsp)
+}
+
+func naiveGreedy(g *graph.Digraph, p Params) []Edge {
+	var out []Edge
+	for len(out) < p.Budget {
+		apsp := Apply(g, out).AllPairs()
+		bestTotal := naiveObjective(apsp, p)
+		var best Edge
+		found := false
+		for i := range apsp {
+			for j := range apsp {
+				if apsp[i][j] < p.minDist() || Validate(append(append([]Edge(nil), out...), Edge{i, j}), Params{Budget: p.Budget, Eligible: p.Eligible}) != nil {
+					continue
+				}
+				if t := naiveObjective(Apply(g, append(append([]Edge(nil), out...), Edge{i, j})).AllPairs(), p); t < bestTotal {
+					best, bestTotal, found = Edge{i, j}, t, true
+				}
+			}
+		}
+		if !found {
+			break
+		}
+		out = append(out, best)
+	}
+	return out
+}
+
+func naiveRegionEdge(apsp [][]int, p Params, out []Edge) (Edge, bool) {
+	src, dst := map[int]bool{}, map[int]bool{}
+	for _, e := range out {
+		src[e.From], dst[e.To] = true, true
+	}
+	type scored struct {
+		a, b Region
+		c    int64
+	}
+	var pairs []scored
+	regs := regions(p.MeshW, p.MeshH)
+	for _, a := range regs {
+		for _, b := range regs {
+			if a.overlaps(b) {
+				continue
+			}
+			var c int64
+			for _, x := range a.ids {
+				for _, y := range b.ids {
+					if x != y {
+						c += freqAt(p.Freq, x, y) * int64(apsp[x][y])
+					}
+				}
+			}
+			if c > 0 {
+				pairs = append(pairs, scored{a, b, c})
+			}
+		}
+	}
+	sort.SliceStable(pairs, func(x, y int) bool { return pairs[x].c > pairs[y].c })
+	for _, pr := range pairs {
+		score := func(cand int, toward func(x, y int) int) float64 {
+			var s float64
+			for _, x := range pr.a.ids {
+				for _, y := range pr.b.ids {
+					if f := freqAt(p.Freq, x, y); f != 0 && x != y {
+						s += float64(f) * float64(apsp[x][y]) / float64(1+apsp[cand][toward(x, y)])
+					}
+				}
+			}
+			return s
+		}
+		bestSrc, bestDst := -1, -1
+		bestSrcScore, bestDstScore := -1.0, -1.0
+		for _, i := range pr.a.ids {
+			if s := score(i, func(x, _ int) int { return x }); !src[i] && p.eligible(i) && s > bestSrcScore {
+				bestSrc, bestSrcScore = i, s
+			}
+		}
+		for _, j := range pr.b.ids {
+			if s := score(j, func(_, y int) int { return y }); !dst[j] && p.eligible(j) && s > bestDstScore {
+				bestDst, bestDstScore = j, s
+			}
+		}
+		if bestSrc >= 0 && bestDst >= 0 && bestSrc != bestDst && apsp[bestSrc][bestDst] >= p.minDist() {
+			return Edge{bestSrc, bestDst}, true
+		}
+	}
+	return Edge{}, false
+}
+
+func naiveRegion(g *graph.Digraph, p Params) []Edge {
+	var out []Edge
+	for len(out) < p.Budget {
+		apsp := Apply(g, out).AllPairs()
+		first, second := naiveBestPair, naiveRegionEdge
+		if len(out)%2 == 1 {
+			first, second = naiveRegionEdge, naiveBestPair
+		}
+		e, ok := first(apsp, p, out)
+		if !ok {
+			e, ok = second(apsp, p, out)
+		}
+		if !ok {
+			break
+		}
+		out = append(out, e)
+	}
+	return out
+}
+
+// TestSelectorsMatchNaiveReference compares every selector with its
+// naive reference on random sparse frequency matrices, random
+// eligibility and budgets over 5x5 and 6x6 grids (on 5x5 every pair of
+// 3x3 regions overlaps, so region steps fall back to pair placement).
+func TestSelectorsMatchNaiveReference(t *testing.T) {
+	for seed := int64(1); seed <= 16; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		w := 5 + int(seed%2)
+		g := graph.Grid(w, w)
+		n := g.N()
+		banned := map[int]bool{}
+		for v := 0; v < n; v++ {
+			banned[v] = rng.Intn(3) == 0
+		}
+		freq := make([][]int64, n)
+		for k := 0; k < 2+rng.Intn(3*n); k++ {
+			x, y := rng.Intn(n), rng.Intn(n)
+			if freq[x] == nil {
+				freq[x] = make([]int64, n)
+			}
+			freq[x][y] += int64(1 + rng.Intn(4)) // small weights make ties
+		}
+		p := Params{
+			Budget:   2 + rng.Intn(5),
+			Eligible: func(v int) bool { return !banned[v] },
+			Freq:     freq,
+			MeshW:    w,
+			MeshH:    w,
+		}
+		arch := p
+		arch.Freq = nil
+		for _, c := range []struct {
+			name       string
+			got, naive func(*graph.Digraph, Params) []Edge
+			p          Params
+		}{
+			{"maxcost", SelectMaxCost, naiveMaxCost, p},
+			{"maxcost-arch", SelectMaxCost, naiveMaxCost, arch},
+			{"greedy", SelectGreedyPermutation, naiveGreedy, p},
+			{"greedy-arch", SelectGreedyPermutation, naiveGreedy, arch},
+			{"region", SelectRegionBased, naiveRegion, p},
+		} {
+			got, want := c.got(g, c.p), c.naive(g, c.p)
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("seed %d %dx%d %s: got %v, naive reference %v", seed, w, w, c.name, got, want)
+			}
 		}
 	}
 }
