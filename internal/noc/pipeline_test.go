@@ -85,6 +85,41 @@ func TestVAStallDelaysOnlyHead(t *testing.T) {
 	}
 }
 
+// TestLateRCBooksVAFailure: a head whose VC was stuck through its RC
+// cycle runs RC late, after watchdog stage 1 releases the VC. It is then
+// already past its VA cycle, so arbitration books a VA failure in the RC
+// cycle itself, starting the escape timeout one cycle before its first
+// VA attempt.
+func TestLateRCBooksVAFailure(t *testing.T) {
+	m := topology.New10x10()
+	n := New(Config{Mesh: m, Width: tech.Width16B})
+	src, dst := m.ID(4, 4), m.ID(6, 4)
+	if err := n.StickVC(src, portLocal); err != nil {
+		t.Fatal(err)
+	}
+	n.Inject(Message{Src: src, Dst: dst, Class: Request, Inject: 0})
+	n.Run(10)
+	var head *vcState
+	for _, vc := range n.routers[src].vcs[portLocal] {
+		if vc.pkt != nil {
+			head = vc
+		}
+	}
+	if head == nil || head.phase != phaseRC {
+		t.Fatalf("stuck head not waiting in RC: %+v", head)
+	}
+	n.recoverCreditsAndVCs()
+	rcCycle := n.Now()
+	n.Step()
+	if head.phase != phaseVA || head.vaFirstFail != rcCycle {
+		t.Errorf("after late RC at cycle %d: phase %d, vaFirstFail %d; want phase %d, vaFirstFail %d",
+			rcCycle, head.phase, head.vaFirstFail, phaseVA, rcCycle)
+	}
+	if !n.Drain(1000) {
+		t.Fatal("no drain")
+	}
+}
+
 // TestWireShortcutRouteTableUsesShortcut: wire shortcuts appear in the
 // routing tables exactly like RF ones (only the link latency differs).
 func TestWireShortcutRouteTableUsesShortcut(t *testing.T) {
